@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race checkptr vet rackvet bench bench-kernels bench-pipeline bench-netsched bench-skew bench-baseline trace-overhead faultcheck check
+.PHONY: build test race stress checkptr purego vet rackvet bench bench-smoke bench-kernels bench-pipeline bench-netsched bench-skew bench-baseline trace-overhead faultcheck check
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,17 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The concurrency-heavy packages, many times over, at one, two and all
+# CPUs: a test that encodes a scheduling accident (who stole first, which
+# goroutine ran when) passes most single runs and fails one in a few, and
+# which few depends on the CPU count. Blocking in CI.
+STRESS_COUNT ?= 20
+STRESS_PKGS = ./internal/core ./internal/netsched ./internal/health ./internal/obsv
+stress:
+	GOMAXPROCS=1 $(GO) test -count=$(STRESS_COUNT) -timeout 30m $(STRESS_PKGS)
+	GOMAXPROCS=2 $(GO) test -count=$(STRESS_COUNT) -timeout 30m $(STRESS_PKGS)
+	$(GO) test -count=$(STRESS_COUNT) -timeout 30m $(STRESS_PKGS)
+
 # Dynamic unsafe.Pointer validation (-d=checkptr is implied by -race on
 # amd64/arm64, but an explicit non-race run catches alignment and
 # arithmetic violations with exact failure points) on the packages that
@@ -21,6 +32,14 @@ race:
 checkptr:
 	$(GO) test -gcflags=all=-d=checkptr ./internal/radix ./internal/relation \
 		./internal/hashtable ./internal/core
+
+# The portable fallbacks: everything builds without the word-store
+# kernels, and the packages that have a fast path — plus core, whose
+# network pass then runs the window kernel's generic loop — pass their
+# tests through the fallback.
+purego:
+	$(GO) build -tags purego ./...
+	$(GO) test -tags purego ./internal/radix ./internal/relation ./internal/hashtable ./internal/core
 
 vet:
 	$(GO) vet ./...
@@ -36,6 +55,12 @@ rackvet:
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'
+
+# bench/ is its own module (the benchmark of record, BENCHMARK.json) that
+# imports rackjoin/internal/...; the root `go test ./...` never compiles
+# it, so a renamed export would break it silently. Blocking in CI.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Kernel microbenchmarks (scalar vs write-combining scatter, scalar vs
 # batched probe), formatted into BENCH_kernels.json by cmd/benchfmt.
@@ -107,6 +132,6 @@ trace-overhead:
 faultcheck:
 	$(GO) test -run 'TestFaultInjectionSweep|TestCleanRunsQuiet' -count=1 -v ./internal/health
 
-check: build vet rackvet test race faultcheck
+check: build vet rackvet test race purego faultcheck bench-smoke
 	-$(MAKE) bench-baseline BENCHTIME=1x
 	-$(MAKE) trace-overhead

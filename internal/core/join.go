@@ -53,6 +53,16 @@ func Run(c *cluster.Cluster, inner, outer *relation.Distributed, cfg Config) (*R
 	for m := 0; m < nm; m++ {
 		states[m] = newMachineState(c.Machine(m), &cfg, nm, width, inner.Chunks[m], outer.Chunks[m])
 	}
+	// Whatever the join sets up on the cluster's devices it tears down
+	// again, on every way out: a cluster outlives its joins, and a device
+	// keeps every memory region and queue pair (and the slabs and buffers
+	// behind them) alive until told otherwise. Runs after assembleResult
+	// and the OnComplete hook have read what they need.
+	defer func() {
+		for _, st := range states {
+			st.release()
+		}
+	}()
 	mesh, err := wireDataPlane(c, states)
 	if err != nil {
 		return nil, err
@@ -130,6 +140,13 @@ type machineState struct {
 	mrCur                    *rdma.MemoryRegion // append cursors (atomic-append)
 	rkeysR, rkeysS           []uint64           // per owner machine (one-sided)
 	rkeysCur                 []uint64           // cursor region rkeys (atomic-append)
+
+	// Every memory region this machine registered and every queue pair
+	// created on its device for this join: release's work list. Appended
+	// to from Run's goroutine during wiring, then from this machine's main
+	// goroutine only.
+	joinMRs []*rdma.MemoryRegion
+	joinQPs []*rdma.QP
 
 	// Data plane.
 	sendCQ []*rdma.CompletionQueue // per partitioning thread
@@ -251,6 +268,28 @@ func newMachineState(m *cluster.Machine, cfg *Config, nm, width int, r, s *relat
 	st.met = cfg.Metrics.Scope(metrics.L("machine", strconv.Itoa(m.ID)))
 	st.skewMode = cfg.skewMode(nm)
 	return st
+}
+
+// register pins buf on this machine's device for the duration of the join.
+func (st *machineState) register(buf []byte, access rdma.Access) (*rdma.MemoryRegion, error) {
+	mr, err := st.m.PD.RegisterMemory(buf, access)
+	if err == nil {
+		st.joinMRs = append(st.joinMRs, mr)
+	}
+	return mr, err
+}
+
+// release closes the join's queue pairs on this machine, then deregisters
+// its memory regions (posted receives reference them). By now every
+// transfer has completed or the join has failed; either way nothing reads
+// the regions through the device again.
+func (st *machineState) release() {
+	for _, qp := range st.joinQPs {
+		qp.Close()
+	}
+	for _, mr := range st.joinMRs {
+		_ = mr.Deregister() // fails only if already deregistered
+	}
 }
 
 // Packed rendezvous keys for the trace's integer-keyed flow fast path
@@ -669,12 +708,12 @@ func (st *machineState) allocRegions() error {
 	}
 	var err error
 	if st.slabR.Size() > 0 {
-		if st.mrR, err = st.m.PD.RegisterMemory(st.slabR.Bytes(), access); err != nil {
+		if st.mrR, err = st.register(st.slabR.Bytes(), access); err != nil {
 			return err
 		}
 	}
 	if st.slabS.Size() > 0 {
-		if st.mrS, err = st.m.PD.RegisterMemory(st.slabS.Bytes(), access); err != nil {
+		if st.mrS, err = st.register(st.slabS.Bytes(), access); err != nil {
 			return err
 		}
 	}
@@ -693,7 +732,7 @@ func (st *machineState) allocRegions() error {
 				putCursor(cur, p, true, int64(st.allHistS[st.m.ID][p]))
 			}
 		}
-		if st.mrCur, err = st.m.PD.RegisterMemory(cur, rdma.AccessLocalWrite|rdma.AccessRemoteAtomic); err != nil {
+		if st.mrCur, err = st.register(cur, rdma.AccessLocalWrite|rdma.AccessRemoteAtomic); err != nil {
 			return err
 		}
 	}
@@ -846,8 +885,10 @@ func wireDataPlane(c *cluster.Cluster, states []*machineState) (*tcpnet.Mesh, er
 					return nil, err
 				}
 				sa.qps[t][b] = qpS
+				sa.joinQPs = append(sa.joinQPs, qpS)
+				sb.joinQPs = append(sb.joinQPs, qpR)
 				if sa.cfg.usesNetworkThread() {
-					ring, err := newRecvRing(sb.m.PD, qpR, sa.cfg.BufferSize, recvRingSlots)
+					ring, err := newRecvRing(sb, qpR, sa.cfg.BufferSize, recvRingSlots)
 					if err != nil {
 						return nil, err
 					}

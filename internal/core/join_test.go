@@ -2,9 +2,11 @@ package core
 
 import (
 	"encoding/binary"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"rackjoin/internal/cluster"
 	"rackjoin/internal/datagen"
@@ -520,15 +522,40 @@ func TestJoinTracing(t *testing.T) {
 	if tr.Total() <= 0 {
 		t.Fatal("trace total should be positive")
 	}
-	// The causal graph is complete enough for critical-path extraction:
-	// the walk must cover (nearly) the whole wall clock.
+	// The causal graph is complete enough for critical-path extraction.
 	cp, err := tr.CriticalPath()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Coverage < 0.95 {
-		t.Fatalf("critical-path coverage = %.3f, want ≥ 0.95", cp.Coverage)
+	checkCriticalPathReachesRoot(t, tr, cp)
+}
+
+// checkCriticalPathReachesRoot asserts that the backward walk over the
+// trace DAG is causally complete: it must arrive at the start of some
+// machine's run root span, a missing edge strands it earlier. What the
+// walk then leaves uncovered is only the stagger between Run spawning the
+// machine goroutines and the critical machine's first traced instant —
+// scheduler time that grows with fewer CPUs (15 % of a 20 ms join at
+// GOMAXPROCS=1, one run in twenty) and is no property of the graph, which
+// is why this is not a threshold on CriticalPath.Coverage.
+func checkCriticalPathReachesRoot(t *testing.T, tr *trace.Recorder, cp *trace.CriticalPath) {
+	t.Helper()
+	events := tr.Events()
+	var origin time.Duration
+	for _, e := range events {
+		if e.ID == cp.Terminal {
+			origin = e.End - cp.Path
+		}
 	}
+	for _, e := range events {
+		if e.Kind == "run" && e.Start == origin {
+			return
+		}
+	}
+	var sb strings.Builder
+	cp.Report(&sb)
+	t.Fatalf("critical-path walk stops at %v, which is no machine's run start (coverage %.3f)\n%s",
+		origin, cp.Coverage, sb.String())
 }
 
 func TestJoinEverythingEnabled(t *testing.T) {

@@ -80,8 +80,8 @@ func (p *bufferPool) markInflight(i int32, dest int) {
 	}
 }
 
-func newBufferPool(pd *rdma.ProtectionDomain, cq *rdma.CompletionQueue, bufSize, count int, withAtomic bool) (*bufferPool, error) {
-	mr, err := pd.RegisterMemory(make([]byte, bufSize*count), 0)
+func newBufferPool(st *machineState, cq *rdma.CompletionQueue, bufSize, count int, withAtomic bool) (*bufferPool, error) {
+	mr, err := st.register(make([]byte, bufSize*count), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func newBufferPool(pd *rdma.ProtectionDomain, cq *rdma.CompletionQueue, bufSize,
 		p.free = append(p.free, int32(i))
 	}
 	if withAtomic {
-		if p.atomicMR, err = pd.RegisterMemory(make([]byte, 8), rdma.AccessLocalWrite); err != nil {
+		if p.atomicMR, err = st.register(make([]byte, 8), rdma.AccessLocalWrite); err != nil {
 			return nil, err
 		}
 	}
@@ -220,7 +220,7 @@ func (st *machineState) allocPools() error {
 	}
 	withAtomic := st.cfg.Transport == TransportOneSidedAtomic
 	for t := 0; t < st.partThreads; t++ {
-		pool, err := newBufferPool(st.m.PD, st.sendCQ[t], st.cfg.BufferSize, count, withAtomic)
+		pool, err := newBufferPool(st, st.sendCQ[t], st.cfg.BufferSize, count, withAtomic)
 		if err != nil {
 			return err
 		}
@@ -331,29 +331,55 @@ func (st *machineState) partitionThread(t int) error {
 	return nil
 }
 
-// threadState carries the per-partition cursors of one scatter pass.
-type threadState struct {
-	localCur  []int64 // byte cursor into the local slab; -1 for remote partitions
-	curBuf    []int32 // current pool buffer per remote partition; -1 if none
-	fill      []int32 // tuples in the current buffer
-	remoteCur []int64 // one-sided: next tuple offset within the owner's slab
-	scratch   []byte  // stream transport staging area
-	wcCopy    bool    // kernel knob: word-copy tuples instead of memmove
+// stream is one outgoing buffer stream of a scatter pass: the pool buffer
+// being filled (-1: none) and, on the exact-placement transport, the next
+// tuple offset within the destination's slab. A remote partition has one
+// stream, whose fill level lives in the partition's write window (the
+// kernel advances it); broadcast and split partitions have one stream per
+// destination, filled a tuple at a time by replicate and dealSplit, which
+// count fill here.
+type stream struct {
+	buf       int32
+	fill      int32
+	remoteCur int64
+}
 
-	// Broadcast state (inner relation of work-shared partitions): one
-	// buffer and remote cursor per (broadcast partition, destination).
-	bcastBuf  map[int][]int32
-	bcastFill map[int][]int32
-	bcastCur  map[int][]int64
-	// Split state (outer relation of skew-split partitions): split aliases
-	// st.split during the outer scatter (nil otherwise — one predicted-away
-	// nil check per remote tuple when the skew engine is off), and the
-	// round-robin dealer fills one buffer per (partition, destination).
-	// Exact one-sided cursors live on machineState (splitRemoteCur): they
-	// are shared across threads, unlike the per-thread bcastCur.
-	split     []bool
-	splitBuf  map[int][]int32
-	splitFill map[int][]int32
+// bcastState is the inner side of one work-shared partition within a
+// scatter pass: every tuple is written into this thread's share of the
+// local slab AND replicated into one stream per peer. Exact one-sided
+// cursors are per thread here, unlike the shared split cursors.
+type bcastState struct {
+	local   []byte // unwritten rest of this thread's local slab range
+	streams []stream
+}
+
+// threadState carries one scatter pass of one partitioning thread.
+type threadState struct {
+	// wins is the kernel's window table (radix.ScatterWindows), one write
+	// window per partition, owned by this thread for the pass:
+	//   - a resident partition's window lies over this thread's share of
+	//     the local slab and is sized by the thread's own histogram count —
+	//     exact, so the kernel never returns for it;
+	//   - a remote partition's window lies over its current pool buffer
+	//     (remote[p].buf) and holds BufferSize/width tuples; empty until
+	//     the first tuple arrives, and again from flush to the next tuple;
+	//   - the inner side of a broadcast partition and the outer side of a
+	//     split partition keep a permanently empty window: the kernel hands
+	//     every such tuple back for replicate / dealSplit.
+	wins   []radix.Window
+	remote []stream     // by partition; entries of remote partitions only
+	kern   radix.Kernel // resolved for this pass: wc or scalar
+	// capTuples is the tuple capacity of one pool buffer.
+	capTuples int32
+	scratch   []byte // stream transport staging area
+
+	// bcast[p] is non-nil for the broadcast partitions of an inner pass,
+	// split[p] (one stream per destination) for the split partitions of an
+	// outer pass; both tables are nil when the pass has none. Exact
+	// one-sided cursors of split streams live on machineState
+	// (splitRemoteCur): they are shared across threads.
+	bcast []*bcastState
+	split [][]stream
 	// repBytes counts tuple bytes replicated into broadcast buffers —
 	// kernel work on top of the input scan, folded into
 	// kernel_bytes_total at end of slice.
@@ -367,187 +393,115 @@ type threadState struct {
 	parkedLive int
 }
 
+// newStreams returns one idle stream per machine.
+func newStreams(nm int) []stream {
+	s := make([]stream, nm)
+	for d := range s {
+		s[d].buf = -1
+	}
+	return s
+}
+
 func (st *machineState) newThreadState(t int, isS bool) *threadState {
 	ts := &threadState{
-		localCur:  make([]int64, st.np),
-		curBuf:    make([]int32, st.np),
-		fill:      make([]int32, st.np),
-		remoteCur: make([]int64, st.np),
-		wcCopy:    st.cfg.Kernels.Resolve(st.width, st.cfg.NetworkBits) == radix.KernelWC,
+		wins:      make([]radix.Window, st.np),
+		remote:    newStreams(st.np),
+		kern:      st.cfg.Kernels.Resolve(st.width, st.cfg.NetworkBits),
+		capTuples: int32(st.cfg.BufferSize / st.width),
 	}
 	if st.cfg.Transport == TransportStream {
 		ts.scratch = make([]byte, st.cfg.BufferSize)
 	}
-	hists := st.threadHistR
-	all := st.allHistR
-	slabOff := st.slabOffR
+	hists, all, slabOff, slab := st.threadHistR, st.allHistR, st.slabOffR, st.slabR
 	if isS {
-		hists = st.threadHistS
-		all = st.allHistS
-		slabOff = st.slabOffS
+		hists, all, slabOff, slab = st.threadHistS, st.allHistS, st.slabOffS, st.slabS
 	}
 	w := int64(st.width)
-	if isS {
-		ts.split = st.split
-	}
 	for p := 0; p < st.np; p++ {
-		ts.curBuf[p] = -1
 		switch {
 		case isS && st.isSplit(p):
 			// The outer side of a split partition goes through the shared
-			// round-robin dealer: no per-thread local cursor, one deal
-			// buffer per destination.
-			ts.localCur[p] = -1
-			if ts.splitBuf == nil {
-				ts.splitBuf = make(map[int][]int32)
-				ts.splitFill = make(map[int][]int32)
+			// round-robin dealer: no per-thread local range, one deal
+			// stream per destination.
+			if ts.split == nil {
+				ts.split = make([][]stream, st.np)
 			}
-			bufs := make([]int32, st.nm)
-			for d := range bufs {
-				bufs[d] = -1
-			}
-			ts.splitBuf[p] = bufs
-			ts.splitFill[p] = make([]int32, st.nm)
+			ts.split[p] = newStreams(st.nm)
 		case st.residentHere(p):
-			ts.localCur[p] = (st.localWriteBase(p, isS) + threadPrefix(hists, t, p)) * w
-			if st.broadcast[p] && !isS {
-				// The inner side of a work-shared partition is written
-				// locally AND replicated to every peer.
-				if ts.bcastBuf == nil {
-					ts.bcastBuf = make(map[int][]int32)
-					ts.bcastFill = make(map[int][]int32)
-					ts.bcastCur = make(map[int][]int64)
-				}
-				bufs := make([]int32, st.nm)
-				cur := make([]int64, st.nm)
-				for d := 0; d < st.nm; d++ {
-					bufs[d] = -1
-					if d != st.m.ID {
-						cur[d] = slabOff[d][p] + machinePrefix(all, st.m.ID, p) + threadPrefix(hists, t, p)
-					}
-				}
-				ts.bcastBuf[p] = bufs
-				ts.bcastFill[p] = make([]int32, st.nm)
-				ts.bcastCur[p] = cur
+			lo := (st.localWriteBase(p, isS) + threadPrefix(hists, t, p)) * w
+			local := slab.Bytes()[lo : lo+hists[t][p]*w]
+			if !st.broadcast[p] || isS {
+				ts.wins[p].Set(local, st.width)
+				continue
 			}
+			// The inner side of a work-shared partition is written
+			// locally AND replicated to every peer.
+			if ts.bcast == nil {
+				ts.bcast = make([]*bcastState, st.np)
+			}
+			b := &bcastState{local: local, streams: newStreams(st.nm)}
+			for d := range b.streams {
+				if d != st.m.ID {
+					b.streams[d].remoteCur = slabOff[d][p] + machinePrefix(all, st.m.ID, p) + threadPrefix(hists, t, p)
+				}
+			}
+			ts.bcast[p] = b
 		default:
-			ts.localCur[p] = -1
-			ts.remoteCur[p] = slabOff[st.owner[p]][p] + machinePrefix(all, st.m.ID, p) + threadPrefix(hists, t, p)
+			ts.remote[p].remoteCur = slabOff[st.owner[p]][p] + machinePrefix(all, st.m.ID, p) + threadPrefix(hists, t, p)
 		}
 	}
 	return ts
 }
 
-// scatterSlice is the hot loop of the network partitioning pass: it walks
-// this thread's contiguous input slice and routes every tuple either into
+// put copies one tuple into dst with the pass's kernel flavour: whole
+// words for wc (no memmove dispatch), the plain copy for the scalar
+// ablation baseline. Slow-path use only — the kernel moves everything
+// that needs nothing but a copy.
+func (ts *threadState) put(dst, tuple []byte) {
+	if ts.kern == radix.KernelWC {
+		relation.CopyTuple(dst, tuple, len(tuple))
+	} else {
+		copy(dst, tuple)
+	}
+}
+
+// scatterSlice runs one scatter pass of the network partitioning pass: it
+// routes every tuple of this thread's contiguous input slice either into
 // the local destination slab or into the RDMA buffer of its remote
-// partition, shipping buffers as they fill.
+// partition, shipping buffers as they fill, then ships the partial tail.
 func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) error {
 	n := rel.Len()
-	slice := rel.Slice(n*t/st.partThreads, n*(t+1)/st.partThreads)
+	data := rel.Slice(n*t/st.partThreads, n*(t+1)/st.partThreads).Bytes()
 	ts := st.newThreadState(t, isS)
-	pool := st.pools[t]
-
-	slab := st.slabR
-	if isS {
-		slab = st.slabS
+	if err := st.scatterLoop(t, ts, data, isS); err != nil {
+		return err
 	}
-	slabBytes := slab.Bytes()
-	width := st.width
-	mask := uint64(st.np - 1)
-	capTuples := int32(st.cfg.BufferSize / width)
-	data := slice.Bytes()
-
-	// The tuple move is the hot instruction of this loop: the wc kernel
-	// copies whole words through relation.CopyTuple (no memmove dispatch,
-	// adjacent stores combine in the store buffer); the scalar kernel keeps
-	// the plain copy as the ablation baseline. The branch on ts.wcCopy is
-	// loop-invariant and predicted away.
-	for off := 0; off < len(data); off += width {
-		tuple := data[off : off+width]
-		p := int(binary.LittleEndian.Uint64(tuple) & mask)
-		if cur := ts.localCur[p]; cur >= 0 {
-			if ts.wcCopy {
-				relation.CopyTuple(slabBytes[cur:], tuple, width)
-			} else {
-				copy(slabBytes[cur:], tuple)
-			}
-			ts.localCur[p] = cur + int64(width)
-			if bufs, ok := ts.bcastBuf[p]; ok {
-				if err := st.replicate(t, ts, p, tuple, bufs, capTuples); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if ts.split != nil && ts.split[p] {
-			if err := st.dealSplit(t, ts, p, tuple, capTuples); err != nil {
-				return err
-			}
-			continue
-		}
-		b := ts.curBuf[p]
-		if b < 0 {
-			var err error
-			if b, err = st.acquireFor(t, ts); err != nil {
-				return err
-			}
-			ts.curBuf[p] = b
-			ts.fill[p] = 0
-		}
-		if ts.wcCopy {
-			relation.CopyTuple(pool.buf(b)[int(ts.fill[p])*width:], tuple, width)
-		} else {
-			copy(pool.buf(b)[int(ts.fill[p])*width:], tuple)
-		}
-		ts.fill[p]++
-		if ts.fill[p] == capTuples {
+	// Input bytes plus the broadcast replicas: the scatter kernels wrote
+	// both, so kernel_bytes_total must see both.
+	st.netKernelBytes.Add(uint64(len(data)) + ts.repBytes)
+	// Ship the partial buffers. A stream holds a buffer only once a tuple
+	// is about to land in it, so none of them is empty.
+	for p := 0; p < st.np; p++ {
+		if ts.remote[p].buf >= 0 {
 			if err := st.flush(t, ts, p, isS); err != nil {
 				return err
 			}
 		}
-	}
-	// Input bytes plus the broadcast replicas: the scatter kernels wrote
-	// both, so kernel_bytes_total must see both (replicated bytes used
-	// to bypass this accounting).
-	st.netKernelBytes.Add(uint64(len(data)) + ts.repBytes)
-	// Ship partial buffers; return untouched ones to the pool.
-	for p := 0; p < st.np; p++ {
-		if ts.curBuf[p] >= 0 {
-			if ts.fill[p] == 0 {
-				pool.release(ts.curBuf[p])
-				ts.curBuf[p] = -1
-			} else if err := st.flush(t, ts, p, isS); err != nil {
-				return err
-			}
-		}
-		if bufs, ok := ts.bcastBuf[p]; ok {
-			for d := range bufs {
-				if bufs[d] < 0 {
-					continue
-				}
-				if ts.bcastFill[p][d] == 0 {
-					pool.release(bufs[d])
-					bufs[d] = -1
-					continue
-				}
-				if err := st.flushBcast(t, ts, p, d); err != nil {
-					return err
+		if ts.bcast != nil && ts.bcast[p] != nil {
+			for d := range ts.bcast[p].streams {
+				if ts.bcast[p].streams[d].buf >= 0 {
+					if err := st.flushBcast(t, ts, p, d); err != nil {
+						return err
+					}
 				}
 			}
 		}
-		if bufs, ok := ts.splitBuf[p]; ok {
-			for d := range bufs {
-				if bufs[d] < 0 {
-					continue
-				}
-				if ts.splitFill[p][d] == 0 {
-					pool.release(bufs[d])
-					bufs[d] = -1
-					continue
-				}
-				if err := st.flushSplit(t, ts, p, d); err != nil {
-					return err
+		if ts.split != nil && ts.split[p] != nil {
+			for d := range ts.split[p] {
+				if ts.split[p][d].buf >= 0 {
+					if err := st.flushSplit(t, ts, p, d); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -558,32 +512,109 @@ func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) er
 	return st.drainParked(t, ts)
 }
 
-// replicate appends one inner tuple of broadcast partition p to the
-// per-destination buffers, shipping any that fill up.
-func (st *machineState) replicate(t int, ts *threadState, p int, tuple []byte, bufs []int32, capTuples int32) error {
-	pool := st.pools[t]
-	fill := ts.bcastFill[p]
-	for d := 0; d < st.nm; d++ {
+// scatterLoop is the hot loop of the network partitioning pass, and all of
+// it that lives in core: run the window kernel, handle the partition it
+// came back for, resume. The kernel returns only for a tuple whose window
+// has no room — once per buffer for a remote partition (ship it, seat the
+// window on a fresh one, resume at the same tuple), and once per tuple for
+// the replicate / deal slow paths (route the tuple here, resume behind
+// it). A resident partition's window is exact, so a return for one means
+// the input disagrees with the histogram it was sized from.
+//
+//rack:hotpath
+func (st *machineState) scatterLoop(t int, ts *threadState, data []byte, isS bool) error {
+	width := st.width
+	bits := st.cfg.NetworkBits
+	for off := 0; ; {
+		var p int
+		if off, p = radix.ScatterWindows(ts.kern, data, off, width, ts.wins, 0, bits); p < 0 {
+			return nil
+		}
+		switch {
+		case ts.bcast != nil && ts.bcast[p] != nil:
+			if err := st.replicate(t, ts, p, data[off:off+width]); err != nil {
+				return err
+			}
+			off += width
+		case ts.split != nil && ts.split[p] != nil:
+			if err := st.dealSplit(t, ts, p, data[off:off+width]); err != nil {
+				return err
+			}
+			off += width
+		case st.residentHere(p):
+			return errSlabOverflow(p)
+		default:
+			if err := st.nextBuffer(t, ts, p, isS); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// errSlabOverflow reports a tuple with no room left in its histogram-sized
+// local slab range. Not inlined: formatting allocates, and the resume loop
+// it is called from is held allocation-free.
+//
+//go:noinline
+func errSlabOverflow(p int) error {
+	return fmt.Errorf("core: partition %d holds more tuples than the histogram phase counted", p)
+}
+
+// nextBuffer makes room in remote partition p's window: the full buffer,
+// if there is one, ships to the owner, and the window moves onto a freshly
+// acquired buffer. Acquisition stays lazy — this runs only with a tuple of
+// p in hand — so an idle partition never holds a buffer.
+func (st *machineState) nextBuffer(t int, ts *threadState, p int, isS bool) error {
+	if ts.remote[p].buf >= 0 {
+		if err := st.flush(t, ts, p, isS); err != nil {
+			return err
+		}
+	}
+	b, err := st.acquireFor(t, ts)
+	if err != nil {
+		return err
+	}
+	ts.remote[p].buf = b
+	ts.wins[p].Set(st.pools[t].buf(b), st.width)
+	return nil
+}
+
+// fillStream appends one tuple to a per-destination stream of a broadcast
+// or split partition, acquiring its buffer on first use, and reports
+// whether the buffer is now full.
+func (st *machineState) fillStream(t int, ts *threadState, s *stream, tuple []byte) (bool, error) {
+	if s.buf < 0 {
+		b, err := st.acquireFor(t, ts)
+		if err != nil {
+			return false, err
+		}
+		s.buf, s.fill = b, 0
+	}
+	ts.put(st.pools[t].buf(s.buf)[int(s.fill)*st.width:], tuple)
+	s.fill++
+	return s.fill == ts.capTuples, nil
+}
+
+// replicate routes one inner tuple of broadcast partition p: into this
+// thread's share of the local slab, and into the per-destination streams,
+// shipping any buffer that fills up.
+func (st *machineState) replicate(t int, ts *threadState, p int, tuple []byte) error {
+	b := ts.bcast[p]
+	if len(b.local) < len(tuple) {
+		return errSlabOverflow(p)
+	}
+	ts.put(b.local, tuple)
+	b.local = b.local[len(tuple):]
+	for d := range b.streams {
 		if d == st.m.ID {
 			continue
 		}
-		b := bufs[d]
-		if b < 0 {
-			var err error
-			if b, err = st.acquireFor(t, ts); err != nil {
-				return err
-			}
-			bufs[d] = b
-			fill[d] = 0
+		full, err := st.fillStream(t, ts, &b.streams[d], tuple)
+		if err != nil {
+			return err
 		}
-		if ts.wcCopy {
-			relation.CopyTuple(pool.buf(b)[int(fill[d])*st.width:], tuple, st.width)
-		} else {
-			copy(pool.buf(b)[int(fill[d])*st.width:], tuple)
-		}
-		fill[d]++
-		ts.repBytes += uint64(st.width)
-		if fill[d] == capTuples {
+		ts.repBytes += uint64(len(tuple))
+		if full {
 			if err := st.flushBcast(t, ts, p, d); err != nil {
 				return err
 			}
@@ -598,42 +629,27 @@ func (st *machineState) replicate(t int, ts *threadState, p int, tuple []byte, b
 // straggler. Self-dealt tuples go straight into the local slab through
 // the shared offset cursor; remote destinations fill per-destination
 // buffers that ship through the same scheduled path as everything else.
-func (st *machineState) dealSplit(t int, ts *threadState, p int, tuple []byte, capTuples int32) error {
+func (st *machineState) dealSplit(t int, ts *threadState, p int, tuple []byte) error {
 	idx := st.splitNext[p].Add(1) - 1
 	dest := (st.splitStartDest(st.m.ID, p) + int(idx%int64(st.nm))) % st.nm
-	width := st.width
 	if dest == st.m.ID {
-		cur := (st.splitLocalCur[p].Add(1) - 1) * int64(width)
-		slab := st.slabS.Bytes()
-		if ts.wcCopy {
-			relation.CopyTuple(slab[cur:], tuple, width)
-		} else {
-			copy(slab[cur:], tuple)
-		}
+		cur := (st.splitLocalCur[p].Add(1) - 1) * int64(st.width)
+		ts.put(st.slabS.Bytes()[cur:], tuple)
 		return nil
 	}
-	bufs := ts.splitBuf[p]
-	fill := ts.splitFill[p]
-	b := bufs[dest]
-	if b < 0 {
-		var err error
-		if b, err = st.acquireFor(t, ts); err != nil {
-			return err
-		}
-		bufs[dest] = b
-		fill[dest] = 0
+	full, err := st.fillStream(t, ts, &ts.split[p][dest], tuple)
+	if err != nil || !full {
+		return err
 	}
-	pool := st.pools[t]
-	if ts.wcCopy {
-		relation.CopyTuple(pool.buf(b)[int(fill[dest])*width:], tuple, width)
-	} else {
-		copy(pool.buf(b)[int(fill[dest])*width:], tuple)
-	}
-	fill[dest]++
-	if fill[dest] == capTuples {
-		return st.flushSplit(t, ts, p, dest)
-	}
-	return nil
+	return st.flushSplit(t, ts, p, dest)
+}
+
+// take detaches the stream's current buffer for shipping and returns it
+// with its tuple count.
+func (s *stream) take() (buf, tuples int32) {
+	buf, tuples = s.buf, s.fill
+	s.buf, s.fill = -1, 0
+	return buf, tuples
 }
 
 // flushSplit ships the current deal buffer of (split partition p, dest).
@@ -642,10 +658,7 @@ func (st *machineState) dealSplit(t int, ts *threadState, p int, tuple []byte, c
 // the cursor value into the parked entry, so handing it a stack slot is
 // safe even though the buffer may post out of order.
 func (st *machineState) flushSplit(t int, ts *threadState, p, dest int) error {
-	buf := ts.splitBuf[p][dest]
-	tuples := ts.splitFill[p][dest]
-	ts.splitBuf[p][dest] = -1
-	ts.splitFill[p][dest] = 0
+	buf, tuples := ts.split[p][dest].take()
 	var cur int64
 	if st.cfg.Transport == TransportOneSided {
 		cur = st.splitRemoteCur[p][dest].Add(int64(tuples)) - int64(tuples)
@@ -658,21 +671,20 @@ func (st *machineState) flushSplit(t int, ts *threadState, p, dest int) error {
 // communication schedule, the transfer budgets and the per-target
 // accounting all see the replicated traffic.
 func (st *machineState) flushBcast(t int, ts *threadState, p, dest int) error {
-	buf := ts.bcastBuf[p][dest]
-	tuples := ts.bcastFill[p][dest]
-	ts.bcastBuf[p][dest] = -1
-	ts.bcastFill[p][dest] = 0
-	return st.ship(t, ts, buf, tuples, p, false, dest, &ts.bcastCur[p][dest])
+	s := &ts.bcast[p].streams[dest]
+	buf, tuples := s.take()
+	return st.ship(t, ts, buf, tuples, p, false, dest, &s.remoteCur)
 }
 
-// flush posts the current buffer of partition p towards its owner and
-// detaches it from the thread state.
+// flush posts the current buffer of remote partition p towards its owner
+// and leaves the partition's window empty: the kernel returns at p's next
+// tuple, which is when nextBuffer acquires the replacement.
 func (st *machineState) flush(t int, ts *threadState, p int, isS bool) error {
-	buf := ts.curBuf[p]
-	tuples := ts.fill[p]
-	ts.curBuf[p] = -1
-	ts.fill[p] = 0
-	return st.ship(t, ts, buf, tuples, p, isS, st.owner[p], &ts.remoteCur[p])
+	s := &ts.remote[p]
+	buf, tuples := s.buf, int32(ts.wins[p].Fill())
+	s.buf = -1
+	ts.wins[p].Clear()
+	return st.ship(t, ts, buf, tuples, p, isS, st.owner[p], &s.remoteCur)
 }
 
 // postBuffer ships one filled buffer of partition p to machine dest over

@@ -14,34 +14,44 @@ import (
 // scheduler: on every push transport × policy × execution mode the
 // scheduled run must produce the exact Matches/Checksum of the
 // unscheduled reference. Scheduling reorders buffer postings — it must
-// never change the join.
+// never change the join. The seam rows repeat every transport with
+// buffers of one to three tuples (seamShapes), cycling policy and mode:
+// the scatter kernel returns for every tuple or so, and each return may
+// park, kick or override.
 func TestNetSchedEquivalence(t *testing.T) {
 	workload := datagen.Config{InnerTuples: 1 << 12, OuterTuples: 1 << 14, Seed: 7, Skew: datagen.SkewHigh}
 	transports := []Transport{TransportTwoSided, TransportOneSided, TransportStream, TransportTCP, TransportOneSidedAtomic}
 	policies := []netsched.Policy{netsched.Rotate, netsched.Weighted}
+	run := func(name string, workload datagen.Config, cfg Config, pol netsched.Policy) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ref, want := runJoin(t, 4, 3, workload, cfg)
+			checkResult(t, ref, want)
+
+			cfg.NetSched = pol
+			sched, _ := runJoin(t, 4, 3, workload, cfg)
+			checkResult(t, sched, want)
+			if sched.Matches != ref.Matches || sched.Checksum != ref.Checksum {
+				t.Fatalf("scheduled result diverges: matches %d vs %d, checksum %d vs %d",
+					sched.Matches, ref.Matches, sched.Checksum, ref.Checksum)
+			}
+		})
+	}
 	for _, tr := range transports {
 		for _, pol := range policies {
 			for _, pipe := range []bool{false, true} {
-				tr, pol, pipe := tr, pol, pipe
-				name := fmt.Sprintf("%v/%v/pipeline=%v", tr, pol, pipe)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					cfg := DefaultConfig()
-					cfg.Transport = tr
-					cfg.Pipeline = pipe
-
-					ref, want := runJoin(t, 4, 3, workload, cfg)
-					checkResult(t, ref, want)
-
-					cfg.NetSched = pol
-					sched, _ := runJoin(t, 4, 3, workload, cfg)
-					checkResult(t, sched, want)
-					if sched.Matches != ref.Matches || sched.Checksum != ref.Checksum {
-						t.Fatalf("scheduled result diverges: matches %d vs %d, checksum %d vs %d",
-							sched.Matches, ref.Matches, sched.Checksum, ref.Checksum)
-					}
-				})
+				cfg := DefaultConfig()
+				cfg.Transport = tr
+				cfg.Pipeline = pipe
+				run(fmt.Sprintf("%v/%v/pipeline=%v", tr, pol, pipe), workload, cfg, pol)
 			}
+		}
+		for i, shape := range seamShapes {
+			cfg := DefaultConfig()
+			cfg.Transport = tr
+			cfg.Pipeline = i/2%2 == 0
+			pol := policies[i%2]
+			run(fmt.Sprintf("%v/seam/%v/%v", tr, shape, pol), shape.apply(seamWorkload, &cfg), cfg, pol)
 		}
 	}
 }

@@ -11,37 +11,49 @@ import (
 // TestPipelinedEquivalence is the acceptance matrix of the partition-ready
 // pipeline: on every transport × assignment × broadcast configuration the
 // pipelined run must produce the exact Matches/Checksum of the barrier run
-// (both are checked against the generator's expected join).
+// (both are checked against the generator's expected join). The seam rows
+// repeat every transport with buffers of one to three tuples at all three
+// widths (seamShapes), cycling assignment and broadcast, so every shipped
+// tuple — replicated ones included — crosses the scatter kernel's
+// return/resume seam.
 func TestPipelinedEquivalence(t *testing.T) {
 	workload := datagen.Config{InnerTuples: 1 << 12, OuterTuples: 1 << 14, Seed: 7, Skew: datagen.SkewHigh}
 	transports := []Transport{TransportTwoSided, TransportOneSided, TransportStream, TransportTCP, TransportOneSidedAtomic}
 	assignments := []Assignment{AssignRoundRobin, AssignSizeSorted}
+	run := func(name string, workload datagen.Config, cfg Config) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			cfg.Pipeline = false
+			barrier, want := runJoin(t, 3, 3, workload, cfg)
+			checkResult(t, barrier, want)
+
+			cfg.Pipeline = true
+			piped, _ := runJoin(t, 3, 3, workload, cfg)
+			checkResult(t, piped, want)
+			if piped.Matches != barrier.Matches || piped.Checksum != barrier.Checksum {
+				t.Fatalf("pipelined result diverges: matches %d vs %d, checksum %d vs %d",
+					piped.Matches, barrier.Matches, piped.Checksum, barrier.Checksum)
+			}
+		})
+	}
 	for _, tr := range transports {
 		for _, as := range assignments {
 			for _, bcast := range []float64{0, 4} {
-				tr, as, bcast := tr, as, bcast
-				name := fmt.Sprintf("%v/%v/bcast=%v", tr, as, bcast)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					cfg := DefaultConfig()
-					cfg.Transport = tr
-					cfg.Assignment = as
-					cfg.BroadcastFactor = bcast
-					cfg.SkewSplitFactor = 2
-
-					cfg.Pipeline = false
-					barrier, want := runJoin(t, 3, 3, workload, cfg)
-					checkResult(t, barrier, want)
-
-					cfg.Pipeline = true
-					piped, _ := runJoin(t, 3, 3, workload, cfg)
-					checkResult(t, piped, want)
-					if piped.Matches != barrier.Matches || piped.Checksum != barrier.Checksum {
-						t.Fatalf("pipelined result diverges: matches %d vs %d, checksum %d vs %d",
-							piped.Matches, barrier.Matches, piped.Checksum, barrier.Checksum)
-					}
-				})
+				cfg := DefaultConfig()
+				cfg.Transport = tr
+				cfg.Assignment = as
+				cfg.BroadcastFactor = bcast
+				cfg.SkewSplitFactor = 2
+				run(fmt.Sprintf("%v/%v/bcast=%v", tr, as, bcast), workload, cfg)
 			}
+		}
+		for i, shape := range seamShapes {
+			cfg := DefaultConfig()
+			cfg.Transport = tr
+			cfg.Assignment = assignments[i%2]
+			cfg.BroadcastFactor = []float64{0, 4}[i/2%2]
+			cfg.SkewSplitFactor = 2
+			run(fmt.Sprintf("%v/seam/%v", tr, shape), shape.apply(seamWorkload, &cfg), cfg)
 		}
 	}
 }

@@ -50,12 +50,12 @@ func (st *machineState) stageLocal() error {
 	st.stageS = relation.New(st.width, int(totalS))
 	var err error
 	if st.stageR.Size() > 0 {
-		if st.stageMRR, err = st.m.PD.RegisterMemory(st.stageR.Bytes(), rdma.AccessRemoteRead); err != nil {
+		if st.stageMRR, err = st.register(st.stageR.Bytes(), rdma.AccessRemoteRead); err != nil {
 			return err
 		}
 	}
 	if st.stageS.Size() > 0 {
-		if st.stageMRS, err = st.m.PD.RegisterMemory(st.stageS.Bytes(), rdma.AccessRemoteRead); err != nil {
+		if st.stageMRS, err = st.register(st.stageS.Bytes(), rdma.AccessRemoteRead); err != nil {
 			return err
 		}
 	}

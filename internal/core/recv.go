@@ -31,8 +31,10 @@ type recvRing struct {
 	seq       uint64
 }
 
-func newRecvRing(pd *rdma.ProtectionDomain, qp *rdma.QP, bufSize, slots int) (*recvRing, error) {
-	mr, err := pd.RegisterMemory(make([]byte, bufSize*slots), rdma.AccessLocalWrite)
+// newRecvRing registers and posts the receive ring of qp, an incoming queue
+// pair on st's device.
+func newRecvRing(st *machineState, qp *rdma.QP, bufSize, slots int) (*recvRing, error) {
+	mr, err := st.register(make([]byte, bufSize*slots), rdma.AccessLocalWrite)
 	if err != nil {
 		return nil, err
 	}

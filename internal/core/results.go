@@ -37,7 +37,7 @@ type resultShipper struct {
 }
 
 func newResultShipper(st *machineState, worker int) (*resultShipper, error) {
-	pool, err := newBufferPool(st.m.PD, st.resCQ[worker], st.cfg.BufferSize, resultBuffers, false)
+	pool, err := newBufferPool(st, st.resCQ[worker], st.cfg.BufferSize, resultBuffers, false)
 	if err != nil {
 		return nil, err
 	}
@@ -132,15 +132,17 @@ func wireResultPlane(states []*machineState) error {
 			if err != nil {
 				return err
 			}
+			st.joinQPs = append(st.joinQPs, qpS)
 			qpR, err := target.m.PD.CreateQP(rdma.QPConfig{SendCQ: target.resRecvCQ, RecvCQ: target.resRecvCQ})
 			if err != nil {
 				return err
 			}
+			target.joinQPs = append(target.joinQPs, qpR)
 			if err := rdma.Connect(qpS, qpR); err != nil {
 				return err
 			}
 			st.resQP[w] = qpS
-			ring, err := newRecvRing(target.m.PD, qpR, cfg.BufferSize, recvRingSlots)
+			ring, err := newRecvRing(target, qpR, cfg.BufferSize, recvRingSlots)
 			if err != nil {
 				return err
 			}

@@ -112,23 +112,32 @@ func TestSchedulerStealsFromLoadedWorker(t *testing.T) {
 
 // TestSchedulerSpillsOverflowToInjector pushes more children than one
 // deque holds; the overflow must spill to the injector and still run.
+// Every child waits for the pushes to finish, so a thief frees at most the
+// one slot of the child it then sits in: whether and when the other worker
+// steals no longer decides if the deque overflows.
 func TestSchedulerSpillsOverflowToInjector(t *testing.T) {
 	const workers = 2
 	const children = dequeCap + 50
 	s := newScheduler(workers)
 	var ran atomic.Int64
+	pushed := make(chan struct{})
 	s.reserve(1)
 	s.inject(func(w *joinWorker) {
 		for i := 0; i < children; i++ {
-			w.push(func(*joinWorker) { ran.Add(1) })
+			w.push(func(*joinWorker) {
+				<-pushed
+				ran.Add(1)
+			})
 		}
+		close(pushed)
 	})
 	runSchedWorkers(s, workers)
 	if got := ran.Load(); got != children {
 		t.Fatalf("ran %d children, want %d", got, children)
 	}
-	if s.spills.Load() == 0 {
-		t.Fatalf("pushed %d children into a %d-slot deque without a recorded spill", children, dequeCap)
+	if got, want := s.spills.Load(), uint64(children-dequeCap-(workers-1)); got < want {
+		t.Fatalf("pushed %d children into a %d-slot deque: %d spills recorded, want at least %d",
+			children, dequeCap, got, want)
 	}
 }
 

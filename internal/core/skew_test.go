@@ -70,6 +70,22 @@ func TestSkewEquivalenceAllTransports(t *testing.T) {
 			}
 		}
 	}
+	// Split mode again with buffers of one to three tuples at every width
+	// (seamShapes): dealt and replicated tuples ship a buffer every tuple
+	// or so, next to remote partitions whose window fills as often.
+	for i, tr := range transports {
+		for j, shape := range seamShapes {
+			cfg := DefaultConfig()
+			cfg.Transport = tr
+			cfg.Pipeline = (i+j)%2 == 0
+			cfg.Skew = SkewSplit
+			res, want := runJoin(t, 3, 3, shape.apply(seamSkewWorkload, &cfg), cfg)
+			checkResult(t, res, want)
+			if tr != TransportOneSidedRead && len(res.Skew.SplitPartitions) == 0 {
+				t.Fatalf("transport %v seam %v: nothing split on a skewed workload", tr, shape)
+			}
+		}
+	}
 }
 
 // TestSkewSplitWithBroadcast: selective broadcast (BroadcastFactor) and

@@ -142,3 +142,49 @@ func BenchmarkKernelPartition(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelScatterWindows measures the resumable write-window kernel
+// the network pass runs, at the fan-out of the ScatterWC acceptance bar:
+// "exact" lays histogram-sized windows over one destination slab (the
+// local-slab case — the kernel never returns), win256/win1024 give every
+// partition a fixed buffer of that many tuples and re-seat it on each
+// return (the RDMA-buffer case; 1024 tuples is a 16 KB buffer of 16-byte
+// tuples). The ceiling to hold it against is ScatterWC at the same shape.
+func BenchmarkKernelScatterWindows(b *testing.B) {
+	const bits = 10
+	for _, width := range []int{relation.Width16, relation.Width32, relation.Width64} {
+		src := benchRel(width)
+		h := Histogram(src, 0, bits)
+		bounds := Bounds(h)
+		dst := relation.NewAligned(width, src.Len())
+		wins := make([]Window, 1<<bits)
+		b.Run(fmt.Sprintf("w%d/bits%d/exact", width, bits), func(b *testing.B) {
+			b.SetBytes(int64(src.Size()))
+			for i := 0; i < b.N; i++ {
+				for p := range wins {
+					wins[p].Set(dst.Bytes()[int(bounds[p])*width:int(bounds[p+1])*width], width)
+				}
+				if off, p := ScatterWindows(KernelWC, src.Bytes(), 0, width, wins, 0, bits); p >= 0 {
+					b.Fatalf("exact window of partition %d full at offset %d", p, off)
+				}
+			}
+		})
+		for _, win := range []int{256, 1024} {
+			bufs := relation.AlignedBytes(len(wins) * win * width)
+			b.Run(fmt.Sprintf("w%d/bits%d/win%d", width, bits, win), func(b *testing.B) {
+				b.SetBytes(int64(src.Size()))
+				for i := 0; i < b.N; i++ {
+					for p := range wins {
+						wins[p].Clear()
+					}
+					for off, p := 0, 0; ; {
+						if off, p = ScatterWindows(KernelWC, src.Bytes(), off, width, wins, 0, bits); p < 0 {
+							break
+						}
+						wins[p].Set(bufs[p*win*width:(p+1)*win*width], width)
+					}
+				}
+			})
+		}
+	}
+}

@@ -19,8 +19,10 @@ import (
 // scatterWCGeneric costs ~2 extra stores plus a fill-table access per
 // tuple without reducing memory traffic — the active destination lines
 // (2^bits × 64 B at exec fan-outs) stay cache-resident. The staged loop
-// remains the portable fallback and the building block for callers that
-// must batch into externally-owned buffers (netpass RDMA slots).
+// remains the portable fallback of ScatterWC only; callers that fill
+// externally-owned buffers (the network pass's RDMA slots) run the same
+// raw word-store loop through the write-window kernels at the bottom of
+// this file.
 //
 // Only compiled on little-endian platforms that allow unaligned word
 // access; -tags purego (or any other platform) runs scatterWCGeneric.
@@ -98,4 +100,90 @@ func scatterWC64(sdata, ddata []byte, cursors []int64, shift, bits uint) {
 		d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
 		*c++
 	}
+}
+
+// Write-window kernels (ScatterWindows): the loops above with the cursor
+// table replaced by the window table, plus one compare per tuple — a full
+// window ends the call instead of overrunning. The window's base pointer
+// is only read; the fill level is the only store into the table.
+
+// scatterWindowsFast dispatches to the width-specialised window loop and
+// reports whether one existed.
+func scatterWindowsFast(src []byte, off, width int, wins []Window, shift, bits uint) (next, full int, ok bool) {
+	switch width {
+	case relation.Width16:
+		next, full = scatterWin16(src, off, wins, shift, bits)
+	case relation.Width32:
+		next, full = scatterWin32(src, off, wins, shift, bits)
+	case relation.Width64:
+		next, full = scatterWin64(src, off, wins, shift, bits)
+	default:
+		return 0, 0, false
+	}
+	return next, full, true
+}
+
+//rack:hotpath
+func scatterWin16(sdata []byte, off int, wins []Window, shift, bits uint) (int, int) {
+	mask := uint64(1<<bits - 1)
+	sp := unsafe.Pointer(unsafe.SliceData(sdata))
+	wp := unsafe.Pointer(unsafe.SliceData(wins))
+	n := len(sdata)
+	for ; off < n; off += 16 {
+		k := *(*uint64)(unsafe.Add(sp, off))
+		p := int((k >> shift) & mask)
+		w := (*Window)(unsafe.Add(wp, p*windowBytes))
+		f := w.fill
+		if f == w.cap {
+			return off, p
+		}
+		d := (*[2]uint64)(unsafe.Add(w.base, f*16))
+		d[0] = k
+		d[1] = *(*uint64)(unsafe.Add(sp, off+8))
+		w.fill = f + 1
+	}
+	return n, -1
+}
+
+//rack:hotpath
+func scatterWin32(sdata []byte, off int, wins []Window, shift, bits uint) (int, int) {
+	mask := uint64(1<<bits - 1)
+	sp := unsafe.Pointer(unsafe.SliceData(sdata))
+	wp := unsafe.Pointer(unsafe.SliceData(wins))
+	n := len(sdata)
+	for ; off < n; off += 32 {
+		s := (*[4]uint64)(unsafe.Add(sp, off))
+		p := int((s[0] >> shift) & mask)
+		w := (*Window)(unsafe.Add(wp, p*windowBytes))
+		f := w.fill
+		if f == w.cap {
+			return off, p
+		}
+		d := (*[4]uint64)(unsafe.Add(w.base, f*32))
+		d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+		w.fill = f + 1
+	}
+	return n, -1
+}
+
+//rack:hotpath
+func scatterWin64(sdata []byte, off int, wins []Window, shift, bits uint) (int, int) {
+	mask := uint64(1<<bits - 1)
+	sp := unsafe.Pointer(unsafe.SliceData(sdata))
+	wp := unsafe.Pointer(unsafe.SliceData(wins))
+	n := len(sdata)
+	for ; off < n; off += 64 {
+		s := (*[8]uint64)(unsafe.Add(sp, off))
+		p := int((s[0] >> shift) & mask)
+		w := (*Window)(unsafe.Add(wp, p*windowBytes))
+		f := w.fill
+		if f == w.cap {
+			return off, p
+		}
+		d := (*[8]uint64)(unsafe.Add(w.base, f*64))
+		d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+		d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
+		w.fill = f + 1
+	}
+	return n, -1
 }

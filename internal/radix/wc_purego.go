@@ -12,3 +12,8 @@ const haveFastScatter = false
 func scatterWCFast(sdata, ddata []byte, width int, cursors []int64, shift, bits uint) bool {
 	return false
 }
+
+// scatterWindowsFast likewise: ScatterWindows runs the portable loop.
+func scatterWindowsFast(src []byte, off, width int, wins []Window, shift, bits uint) (next, full int, ok bool) {
+	return 0, 0, false
+}

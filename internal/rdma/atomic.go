@@ -1,9 +1,6 @@
 package rdma
 
-import (
-	"encoding/binary"
-	"sync"
-)
+import "encoding/binary"
 
 // Atomic verbs: 64-bit remote fetch-and-add and compare-and-swap, as
 // provided by InfiniBand HCAs. Systems like FaRM (discussed in Section
@@ -24,18 +21,6 @@ const (
 	// SendWR.Swap if it equals SendWR.Compare, returning the original.
 	OpCompareSwap
 )
-
-// atomicLocks serialises atomic execution per device, modelling the HCA's
-// internal atomic unit.
-var atomicLocks sync.Map // *Device → *sync.Mutex
-
-func deviceAtomicLock(d *Device) *sync.Mutex {
-	if mu, ok := atomicLocks.Load(d); ok {
-		return mu.(*sync.Mutex)
-	}
-	mu, _ := atomicLocks.LoadOrStore(d, &sync.Mutex{})
-	return mu.(*sync.Mutex)
-}
 
 func (qp *QP) validateAtomic(wr *SendWR) error {
 	if wr.Local.Length != 8 {
@@ -70,8 +55,7 @@ func (qp *QP) executeAtomic(wr SendWR, dst *QP) {
 		qp.completeSendSide(wr, StatusLocalProtectionError)
 		return
 	}
-	mu := deviceAtomicLock(dst.dev)
-	mu.Lock()
+	dst.dev.atomicMu.Lock()
 	orig := binary.LittleEndian.Uint64(target)
 	switch wr.Op {
 	case OpFetchAdd:
@@ -81,7 +65,7 @@ func (qp *QP) executeAtomic(wr SendWR, dst *QP) {
 			binary.LittleEndian.PutUint64(target, wr.Swap)
 		}
 	}
-	mu.Unlock()
+	dst.dev.atomicMu.Unlock()
 	binary.LittleEndian.PutUint64(local, orig)
 	qp.dev.m.atomics.Inc()
 	qp.completeSendSide(wr, StatusSuccess)

@@ -295,13 +295,15 @@ func (qp *QP) popRecv() (RecvWR, bool) {
 	return wr, true
 }
 
-// Close marks the queue pair closed. Blocked incoming SENDs are released
-// and complete with an error at the sender.
+// Close marks the queue pair closed and removes it from its device.
+// Blocked incoming SENDs are released and complete with an error at the
+// sender. Closing twice is harmless.
 func (qp *QP) Close() {
 	qp.mu.Lock()
 	qp.closed = true
 	qp.mu.Unlock()
 	qp.recvCond.Broadcast()
+	qp.dev.removeQP(qp)
 }
 
 // PostSend posts a work request to the send queue. The request executes

@@ -136,6 +136,12 @@ type Device struct {
 	// take a lock for the common nil case.
 	hook atomic.Pointer[func(op Opcode, bytes int)]
 
+	// atomicMu serialises atomic execution on this device, modelling the
+	// HCA's internal atomic unit. A field rather than a package-level
+	// table keyed by device: a table keeps every device that ever executed
+	// an atomic — and with it its whole network — reachable forever.
+	atomicMu sync.Mutex
+
 	mu      sync.Mutex
 	nextKey uint32
 	nextQPN uint32
@@ -210,6 +216,12 @@ type DeviceStats struct {
 	Deregistrations uint64
 	PagesRegistered uint64
 	PagesPinned     uint64 // currently pinned
+	// MemoryRegions and QueuePairs count the objects currently alive on
+	// the device: registered and not yet deregistered, created and not
+	// yet closed. A device holds on to both (and to the memory behind
+	// them) until then.
+	MemoryRegions int
+	QueuePairs    int
 
 	// Work request counters.
 	Sends  uint64
@@ -238,7 +250,12 @@ func (d *Device) Stats() DeviceStats {
 	if pinned < 0 {
 		pinned = 0
 	}
+	d.mu.Lock()
+	mrs, qps := len(d.mrs), len(d.qps)
+	d.mu.Unlock()
 	return DeviceStats{
+		MemoryRegions:   mrs,
+		QueuePairs:      qps,
 		Registrations:   d.m.registrations.Value(),
 		Deregistrations: d.m.deregistrations.Value(),
 		PagesRegistered: d.m.pagesRegistered.Value(),
@@ -309,10 +326,10 @@ func (d *Device) addQP(qp *QP) {
 	d.qps[qp.qpn] = qp
 }
 
-func (d *Device) qpByNumber(qpn uint32) *QP {
+func (d *Device) removeQP(qp *QP) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.qps[qpn]
+	delete(d.qps, qp.qpn)
 }
 
 // ProtectionDomain scopes memory regions and queue pairs, mirroring the
