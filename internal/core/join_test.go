@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"rackjoin/internal/cluster"
 	"rackjoin/internal/datagen"
@@ -522,40 +521,45 @@ func TestJoinTracing(t *testing.T) {
 	if tr.Total() <= 0 {
 		t.Fatal("trace total should be positive")
 	}
-	// The causal graph is complete enough for critical-path extraction.
+	// The causal graph is complete enough for critical-path extraction:
+	// the walk must cover (nearly) the whole wall clock.
 	cp, err := tr.CriticalPath()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCriticalPathReachesRoot(t, tr, cp)
+	checkCriticalPath(t, tr, cp)
 }
 
-// checkCriticalPathReachesRoot asserts that the backward walk over the
-// trace DAG is causally complete: it must arrive at the start of some
-// machine's run root span, a missing edge strands it earlier. What the
-// walk then leaves uncovered is only the stagger between Run spawning the
-// machine goroutines and the critical machine's first traced instant —
-// scheduler time that grows with fewer CPUs (15 % of a 20 ms join at
-// GOMAXPROCS=1, one run in twenty) and is no property of the graph, which
-// is why this is not a threshold on CriticalPath.Coverage.
-func checkCriticalPathReachesRoot(t *testing.T, tr *trace.Recorder, cp *trace.CriticalPath) {
+// checkCriticalPath asserts that the backward walk over the trace DAG is
+// causally complete. It must end where the machine it ends on began, at
+// the start of that machine's run root span (a missing edge strands the
+// walk earlier), and it must cover most of the wall clock. What a complete
+// walk leaves uncovered is the stagger between Run spawning the machine
+// goroutines and that machine's first traced instant: scheduler time, a
+// fixed 0.5–1 ms against joins of 5–20 ms. A floor of 0.95 fails on it in
+// 1 of 300 runs at GOMAXPROCS=2 and 57 of 300 at GOMAXPROCS=1; 3200 runs
+// on a loaded host stayed above 0.83, hence 0.80.
+func checkCriticalPath(t *testing.T, tr *trace.Recorder, cp *trace.CriticalPath) {
 	t.Helper()
-	events := tr.Events()
-	var origin time.Duration
-	for _, e := range events {
-		if e.ID == cp.Terminal {
-			origin = e.End - cp.Path
-		}
+	fail := func(format string, args ...any) {
+		t.Helper()
+		var sb strings.Builder
+		cp.Report(&sb)
+		t.Fatalf(format+"\n%s", append(args, sb.String())...)
 	}
-	for _, e := range events {
-		if e.Kind == "run" && e.Start == origin {
+	if cp.Coverage < 0.80 || cp.Coverage > 1.0+1e-9 {
+		fail("critical path covers %.1f%% of wall, want 80%%–100%%", cp.Coverage*100)
+	}
+	if len(cp.Steps) == 0 {
+		fail("critical path has no steps")
+	}
+	first := cp.Steps[0]
+	for _, e := range tr.Events() {
+		if e.Kind == "run" && e.Machine == first.Machine && e.Start == first.From {
 			return
 		}
 	}
-	var sb strings.Builder
-	cp.Report(&sb)
-	t.Fatalf("critical-path walk stops at %v, which is no machine's run start (coverage %.3f)\n%s",
-		origin, cp.Coverage, sb.String())
+	fail("critical-path walk stops on machine %d at %v, not at that machine's run start", first.Machine, first.From)
 }
 
 func TestJoinEverythingEnabled(t *testing.T) {

@@ -340,7 +340,7 @@ func (st *machineState) partitionThread(t int) error {
 // count fill here.
 type stream struct {
 	buf       int32
-	fill      int32
+	fill      int32 // broadcast and split streams only; unused in threadState.remote
 	remoteCur int64
 }
 
@@ -367,7 +367,7 @@ type threadState struct {
 	//     split partition keep a permanently empty window: the kernel hands
 	//     every such tuple back for replicate / dealSplit.
 	wins   []radix.Window
-	remote []stream     // by partition; entries of remote partitions only
+	remote []stream     // indexed by partition like wins; idle (buf -1) for all but remote ones
 	kern   radix.Kernel // resolved for this pass: wc or scalar
 	// capTuples is the tuple capacity of one pool buffer.
 	capTuples int32
@@ -482,28 +482,17 @@ func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) er
 	// Ship the partial buffers. A stream holds a buffer only once a tuple
 	// is about to land in it, so none of them is empty.
 	for p := 0; p < st.np; p++ {
-		if ts.remote[p].buf >= 0 {
-			if err := st.flush(t, ts, p, isS); err != nil {
-				return err
-			}
+		var err error
+		switch {
+		case ts.bcast != nil && ts.bcast[p] != nil:
+			err = eachHeld(ts.bcast[p].streams, func(d int) error { return st.flushBcast(t, ts, p, d) })
+		case ts.split != nil && ts.split[p] != nil:
+			err = eachHeld(ts.split[p], func(d int) error { return st.flushSplit(t, ts, p, d) })
+		case ts.remote[p].buf >= 0:
+			err = st.flush(t, ts, p, isS)
 		}
-		if ts.bcast != nil && ts.bcast[p] != nil {
-			for d := range ts.bcast[p].streams {
-				if ts.bcast[p].streams[d].buf >= 0 {
-					if err := st.flushBcast(t, ts, p, d); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		if ts.split != nil && ts.split[p] != nil {
-			for d := range ts.split[p] {
-				if ts.split[p][d].buf >= 0 {
-					if err := st.flushSplit(t, ts, p, d); err != nil {
-						return err
-					}
-				}
-			}
+		if err != nil {
+			return err
 		}
 	}
 	// Tail drain: cycle the schedule until every parked buffer posted —
@@ -642,6 +631,18 @@ func (st *machineState) dealSplit(t int, ts *threadState, p int, tuple []byte) e
 		return err
 	}
 	return st.flushSplit(t, ts, p, dest)
+}
+
+// eachHeld calls flush(i) for every stream of ss that holds a buffer.
+func eachHeld(ss []stream, flush func(i int) error) error {
+	for i := range ss {
+		if ss[i].buf >= 0 {
+			if err := flush(i); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // take detaches the stream's current buffer for shipping and returns it

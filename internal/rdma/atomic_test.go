@@ -2,11 +2,9 @@ package rdma
 
 import (
 	"encoding/binary"
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"rackjoin/internal/fabric"
 )
@@ -46,41 +44,6 @@ func TestFetchAdd(t *testing.T) {
 	if p.devA.Stats().Atomics != 5 {
 		t.Fatalf("Atomics stat = %d", p.devA.Stats().Atomics)
 	}
-}
-
-// TestAtomicsDoNotPinTheDevice: once its network is closed and dropped, a
-// device that executed atomics must be collectable like any other. (The
-// per-device atomic lock once lived in a package-level table keyed by
-// device; every rack that ran the atomic-append transport stayed reachable,
-// control-plane buffers and all.)
-func TestAtomicsDoNotPinTheDevice(t *testing.T) {
-	freed := make(chan struct{})
-	t.Run("fetch-add", func(t *testing.T) {
-		p, local, remote := atomicPair(t)
-		// The finalizer sits on a leaf the target device reaches (its
-		// registered buffer): a finalizer on the device itself, which is
-		// in a cycle with its network, would keep the cycle alive.
-		runtime.SetFinalizer(&remote.Bytes()[0], func(*byte) { close(freed) })
-		if err := p.qpA.PostSend(SendWR{
-			Op: OpFetchAdd, Signaled: true, Add: 1,
-			Local:  Segment{MR: local, Length: 8},
-			Remote: RemoteSegment{RKey: remote.RKey()},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if c := p.scqA.Wait(); c.Status != StatusSuccess {
-			t.Fatalf("fetch-add failed: %+v", c)
-		}
-	})
-	for i := 0; i < 100; i++ {
-		runtime.GC()
-		select {
-		case <-freed:
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	t.Fatal("target device still reachable after its network was closed and dropped")
 }
 
 func TestCompareSwap(t *testing.T) {
